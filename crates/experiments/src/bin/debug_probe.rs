@@ -10,7 +10,8 @@
 //! ```
 //!
 //! writes `results/debug_probe.timeline.jsonl` (period/format/dir from
-//! the `RLA_TELEMETRY*` knobs; see `EXPERIMENTS.md`).
+//! the `RLA_TELEMETRY*` knobs; see `EXPERIMENTS.md`). The run lasts
+//! 120 simulated seconds unless `RLA_DURATION_SECS` says otherwise.
 
 use experiments::prelude::*;
 use rla::RlaSender;
@@ -27,7 +28,7 @@ fn main() {
         .unwrap_or(GatewayKind::DropTail);
     let scenario = ScenarioSpec::paper(case)
         .with_gateway(gw)
-        .with_duration(SimDuration::from_secs(120))
+        .with_duration(cli::duration_or(SimDuration::from_secs(120)))
         .with_seed(cli::base_seed())
         .build();
     let mut world = scenario.build();
@@ -40,11 +41,7 @@ fn main() {
     // — follows the run live.
     let mut opts = cli::telemetry_options();
     opts.timeline = true;
-    let (r, rec) = world.run_with_telemetry_streamed(&scenario, &opts, "debug_probe");
-    let path = rec
-        .stream_path()
-        .expect("streaming was enabled")
-        .to_path_buf();
+    let (r, rec, path) = world.run_with_telemetry_streamed(&scenario, &opts, "debug_probe");
     println!(
         "timeline: {} ({} series, {} samples, period {:.3}s)",
         path.display(),

@@ -9,6 +9,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::path::PathBuf;
 use std::rc::Rc;
 
 use netsim::agent::Sink;
@@ -752,7 +753,9 @@ impl ScenarioWorld {
     /// line), so `tail -f` and `rla_top` follow the run live instead of
     /// waiting for the end-of-run file write. The streamed file is
     /// byte-identical to what [`TimelineRecorder::write_file`] would
-    /// produce afterwards — samples are recorded in render order.
+    /// produce afterwards — samples are recorded in render order. Also
+    /// returns the path of the finished file (the recorder no longer
+    /// streams, so its `stream_path` is `None` by then).
     ///
     /// [`run_with_telemetry`]: Self::run_with_telemetry
     pub fn run_with_telemetry_streamed(
@@ -760,7 +763,7 @@ impl ScenarioWorld {
         scenario: &TreeScenario,
         opts: &TelemetryOptions,
         stem: &str,
-    ) -> (ScenarioResult, TimelineRecorder) {
+    ) -> (ScenarioResult, TimelineRecorder, PathBuf) {
         let mut rec = TimelineRecorder::new(opts.sample_period);
         rec.stream_to(&opts.dir, stem, opts.format)
             .unwrap_or_else(|e| {
@@ -770,9 +773,11 @@ impl ScenarioWorld {
                 )
             });
         let (result, mut rec) = self.run_with_recorder(scenario, rec);
-        rec.finish_stream()
-            .unwrap_or_else(|e| panic!("RLA_TELEMETRY_DIR: timeline stream failed: {e}"));
-        (result, rec)
+        let path = rec
+            .finish_stream()
+            .unwrap_or_else(|e| panic!("RLA_TELEMETRY_DIR: timeline stream failed: {e}"))
+            .expect("the recorder was streaming");
+        (result, rec, path)
     }
 
     /// Shared body of the telemetry runs: warmup, then sample + step.

@@ -20,7 +20,7 @@
 //! 6. troubled-receiver count — [`crate::trouble::TroubleTracker`].
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::Rng;
 
@@ -54,6 +54,64 @@ struct ReceiverState {
     /// Ejected by the slow-receiver policy (§4.3): still receives the
     /// multicast data but no longer gates the window or feeds signals.
     ejected: bool,
+}
+
+/// A cached minimum or maximum of one per-receiver quantity over the
+/// active receivers, with the number of active receivers sitting at it.
+/// An update that moves one receiver is O(1); the extreme only has to be
+/// rescanned when the last receiver at it moves away.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Extreme {
+    value: u64,
+    /// Active receivers at `value`; 0 exactly when none is active.
+    count: usize,
+}
+
+impl Extreme {
+    /// The extreme of `values` from scratch: the maximum when `max`, else
+    /// the minimum. `value` is 0 for an empty iterator.
+    fn scan(values: impl Iterator<Item = u64>, max: bool) -> Self {
+        let mut e = Extreme::default();
+        for v in values {
+            let beyond = if max { v > e.value } else { v < e.value };
+            if e.count == 0 || beyond {
+                e = Extreme { value: v, count: 1 };
+            } else if v == e.value {
+                e.count += 1;
+            }
+        }
+        e
+    }
+
+    /// Fold one active receiver moving from `old` to `new` into a cached
+    /// maximum. Returns `false` when the maximum must be rescanned.
+    fn move_max(&mut self, old: u64, new: u64) -> bool {
+        if new > self.value {
+            *self = Extreme {
+                value: new,
+                count: 1,
+            };
+        } else if new == self.value {
+            if old != new {
+                self.count += 1;
+            }
+        } else if old == self.value {
+            self.count -= 1;
+            return self.count > 0;
+        }
+        true
+    }
+
+    /// Fold one active receiver rising from `old` to `new >= old` into a
+    /// cached minimum. Returns `false` when the minimum must be rescanned.
+    fn rise_min(&mut self, old: u64, new: u64) -> bool {
+        debug_assert!(new >= old, "a cumulative ack never moves back");
+        if old == self.value && new != old {
+            self.count -= 1;
+            return self.count > 0;
+        }
+        true
+    }
 }
 
 /// Bookkeeping for RTT-of-packet measurement (only packets delivered to
@@ -205,8 +263,15 @@ pub struct RlaSender {
     cfg: RlaConfig,
     group: GroupId,
     receivers: Vec<ReceiverState>,
-    index_of: HashMap<AgentId, usize>,
+    /// Position in `receivers` of each tracked receiver, indexed by
+    /// [`AgentId::index`]. Detached receivers keep their slot, so late
+    /// acks from them still resolve (and are ignored).
+    slot_of: Vec<Option<usize>>,
     trouble: TroubleTracker,
+    /// Minimum `cum_ack` over the active receivers (`min_last_ack`).
+    min_cum: Extreme,
+    /// Maximum `in_flight` over the active receivers (the SACK pipe).
+    pipe: Extreme,
 
     win: WindowState,
     /// Moving average of the window size (forced-cut horizon).
@@ -242,7 +307,9 @@ impl RlaSender {
             trouble: TroubleTracker::new(0, cfg.eta, cfg.interval_gain),
             group,
             receivers: Vec::new(),
-            index_of: HashMap::new(),
+            slot_of: Vec::new(),
+            min_cum: Extreme::default(),
+            pipe: Extreme::default(),
             win,
             awnd: cwnd,
             high_seq: 0,
@@ -276,14 +343,10 @@ impl RlaSender {
         self.reach_all
     }
 
-    /// Smallest cumulative ack over all receivers (`min_last_ack`).
+    /// Smallest cumulative ack over the active receivers
+    /// (`min_last_ack`); 0 when none is active.
     pub fn min_last_ack(&self) -> u64 {
-        self.receivers
-            .iter()
-            .filter(|r| !r.ejected)
-            .map(|r| r.scoreboard.cum_ack())
-            .min()
-            .unwrap_or(0)
+        self.min_cum.value
     }
 
     /// Sender-side per-receiver view: (receiver id, cumulative ack, time
@@ -327,7 +390,7 @@ impl RlaSender {
              picked up by on_start from the group membership"
         );
         assert!(
-            !self.index_of.contains_key(&id),
+            self.slot(id).is_none(),
             "receiver {id} is already tracked by this sender"
         );
         let mut scoreboard = Scoreboard::new();
@@ -341,9 +404,10 @@ impl RlaSender {
             last_ack_at: now,
             ejected: false,
         });
-        self.index_of.insert(id, idx);
+        self.set_slot(id, idx);
         self.trouble.add_receiver();
         self.stats.cong_signals_per_receiver.push(0);
+        self.rescan_aggregates();
     }
 
     /// Detach a receiver that left the multicast group mid-session:
@@ -353,7 +417,7 @@ impl RlaSender {
     /// [`RlaStats::ejected_receivers`]. Returns `false` when `id` is
     /// unknown or already detached.
     pub fn remove_receiver(&mut self, id: AgentId) -> bool {
-        let Some(&idx) = self.index_of.get(&id) else {
+        let Some(idx) = self.slot(id) else {
             return false;
         };
         if self.receivers[idx].ejected {
@@ -361,6 +425,63 @@ impl RlaSender {
         }
         self.detach(idx);
         true
+    }
+
+    fn slot(&self, id: AgentId) -> Option<usize> {
+        self.slot_of.get(id.index()).copied().flatten()
+    }
+
+    fn set_slot(&mut self, id: AgentId, idx: usize) {
+        if self.slot_of.len() <= id.index() {
+            self.slot_of.resize(id.index() + 1, None);
+        }
+        self.slot_of[id.index()] = Some(idx);
+    }
+
+    // ------------------------------------------------------------------
+    // Cached aggregates over the active receivers
+    // ------------------------------------------------------------------
+
+    fn scan_min_cum(&self) -> Extreme {
+        let active = self.receivers.iter().filter(|r| !r.ejected);
+        Extreme::scan(active.map(|r| r.scoreboard.cum_ack()), false)
+    }
+
+    fn scan_pipe(&self) -> Extreme {
+        let active = self.receivers.iter().filter(|r| !r.ejected);
+        Extreme::scan(active.map(|r| r.scoreboard.in_flight()), true)
+    }
+
+    /// Recompute both aggregates from scratch (the receiver set changed).
+    fn rescan_aggregates(&mut self) {
+        self.min_cum = self.scan_min_cum();
+        self.pipe = self.scan_pipe();
+    }
+
+    /// Receiver `idx`'s `(cum_ack, in_flight)`, taken before a scoreboard
+    /// update and handed to [`Self::retally`] after it.
+    fn tally(&self, idx: usize) -> (u64, u64) {
+        let sb = &self.receivers[idx].scoreboard;
+        (sb.cum_ack(), sb.in_flight())
+    }
+
+    /// Fold an update of active receiver `idx`'s scoreboard into the cached
+    /// aggregates; `before` is its [`Self::tally`] from before the update.
+    fn retally(&mut self, idx: usize, before: (u64, u64)) {
+        let (cum, in_flight) = self.tally(idx);
+        if !self.min_cum.rise_min(before.0, cum) {
+            self.min_cum = self.scan_min_cum();
+        }
+        if !self.pipe.move_max(before.1, in_flight) {
+            self.pipe = self.scan_pipe();
+        }
+        self.check_aggregates();
+    }
+
+    /// Debug-build oracle: the cached aggregates equal a fresh O(n) scan.
+    fn check_aggregates(&self) {
+        debug_assert_eq!(self.min_cum, self.scan_min_cum(), "cached min cum_ack");
+        debug_assert_eq!(self.pipe, self.scan_pipe(), "cached pipe");
     }
 
     // ------------------------------------------------------------------
@@ -469,17 +590,6 @@ impl RlaSender {
     // Transmission
     // ------------------------------------------------------------------
 
-    /// Packets currently believed to be in the network: the worst
-    /// receiver's unsacked, undeclared count (the SACK "pipe").
-    fn pipe(&self) -> u64 {
-        self.receivers
-            .iter()
-            .filter(|r| !r.ejected)
-            .map(|r| r.scoreboard.in_flight())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Rule 5's send gate plus the burst limiter: release new packets while
     /// the pipe has room under `cwnd` and the slowest receiver's buffer
     /// (`min_last_ack + max_cwnd`) allows. Using pipe accounting rather
@@ -489,10 +599,13 @@ impl RlaSender {
     /// for a repair round-trip.
     fn try_send(&mut self, ctx: &mut Context<'_>) {
         let mut burst = 0;
-        let mut pipe = self.pipe();
+        // Packets currently believed to be in the network: the worst
+        // receiver's unsacked, undeclared count (the SACK "pipe").
+        let mut pipe = self.pipe.value;
         let allowed = self.win.allowed();
+        // Sending moves no cumulative ack, so the top is loop-invariant.
+        let buffer_top = self.min_last_ack() + self.cfg.max_cwnd as u64;
         while burst < self.cfg.max_burst {
-            let buffer_top = self.min_last_ack() + self.cfg.max_cwnd as u64;
             if pipe >= allowed || self.high_seq >= buffer_top {
                 break;
             }
@@ -506,11 +619,18 @@ impl RlaSender {
 
     fn transmit_multicast(&mut self, ctx: &mut Context<'_>, seq: u64, retransmit: bool) {
         let now = ctx.now();
+        // The O(n) share of the per-packet work: every active receiver
+        // still missing `seq` gets it on its scoreboard. A send never
+        // lowers `in_flight`, so the pipe cannot need a rescan here.
         for r in &mut self.receivers {
             if !r.ejected && !r.scoreboard.is_received(seq) {
+                let before = r.scoreboard.in_flight();
                 r.scoreboard.on_send(seq, now);
+                let kept = self.pipe.move_max(before, r.scoreboard.in_flight());
+                debug_assert!(kept, "a send lowered the pipe");
             }
         }
+        self.check_aggregates();
         match self.sent_log.entry(seq) {
             std::collections::btree_map::Entry::Vacant(v) => {
                 v.insert(SentRecord {
@@ -540,7 +660,9 @@ impl RlaSender {
 
     fn transmit_unicast(&mut self, ctx: &mut Context<'_>, seq: u64, idx: usize) {
         let now = ctx.now();
+        let before = self.tally(idx);
         self.receivers[idx].scoreboard.on_send(seq, now);
+        self.retally(idx, before);
         if let Some(rec) = self.sent_log.get_mut(&seq) {
             rec.retransmitted = true;
         }
@@ -597,20 +719,35 @@ impl RlaSender {
 
     /// Advance `max_reach_all` and apply rule 4 for each packet that has
     /// now been acknowledged by everyone.
+    ///
+    /// A receiver never SACKs its own cumulative ack (it would have
+    /// advanced past it), so the first sequence some active receiver is
+    /// missing is the minimum active `cum_ack`: everything below it is
+    /// held by all, and that one is not. With no active receiver every
+    /// sent packet counts as held by all.
     fn advance_reach_all(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        loop {
-            let seq = self.reach_all;
-            if seq >= self.high_seq {
-                break;
-            }
-            if !self
-                .receivers
-                .iter()
-                .all(|r| r.ejected || r.scoreboard.is_received(seq))
+        let target = if self.min_cum.count == 0 {
+            self.high_seq
+        } else {
+            self.min_cum.value.min(self.high_seq)
+        };
+        #[cfg(debug_assertions)]
+        {
+            // Oracle: the per-sequence everyone-holds-it scan.
+            let mut scan = self.reach_all;
+            while scan < self.high_seq
+                && self
+                    .receivers
+                    .iter()
+                    .all(|r| r.ejected || r.scoreboard.is_received(scan))
             {
-                break;
+                scan += 1;
             }
+            debug_assert_eq!(target.max(self.reach_all), scan, "reach_all step");
+        }
+        while self.reach_all < target {
+            let seq = self.reach_all;
             self.reach_all += 1;
             self.stats.delivered += 1;
             self.open_cwnd(now);
@@ -630,7 +767,7 @@ impl RlaSender {
 
     fn on_ack(&mut self, ack: McastAck, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let Some(&idx) = self.index_of.get(&ack.receiver) else {
+        let Some(idx) = self.slot(ack.receiver) else {
             self.stats.unknown_acks += 1;
             debug_assert!(false, "ack from unknown receiver {}", ack.receiver);
             return;
@@ -645,12 +782,13 @@ impl RlaSender {
             r.rtt.sample(now.saturating_since(ack.echo_timestamp));
         }
 
-        let prior_cum = self.receivers[idx].scoreboard.cum_ack();
+        let before = self.tally(idx);
         let newly_lost = self.receivers[idx].scoreboard.on_ack(
             ack.cum_ack,
             &ack.sack,
             self.cfg.dupack_threshold,
         );
+        self.retally(idx, before);
 
         if newly_lost > 0 {
             for seq in self.receivers[idx].scoreboard.lost_unretransmitted() {
@@ -670,13 +808,13 @@ impl RlaSender {
         // only one packet per RTO. The stalled-window guard keeps this
         // path out of ordinary recovery, where dup-SACK evidence repairs
         // holes long before they age anywhere near the RTO.
-        let window_exhausted = self.pipe() >= self.win.allowed();
-        if window_exhausted && self.receivers[idx].scoreboard.cum_ack() > prior_cum {
+        let window_exhausted = self.pipe.value >= self.win.allowed();
+        if window_exhausted && self.receivers[idx].scoreboard.cum_ack() > before.0 {
             if let Some((_, sent_at, _, retransmitted)) = self.receivers[idx].scoreboard.head_hole()
             {
                 let rto = self.receivers[idx].rtt.rto();
                 if !retransmitted && now.saturating_since(sent_at) > rto {
-                    if let Some(seq) = self.receivers[idx].scoreboard.mark_head_lost() {
+                    if let Some(seq) = self.mark_head_lost(idx) {
                         self.stats.early_retransmits += 1;
                         self.pending_rexmit.insert(seq);
                         self.note_congestion(idx, ctx);
@@ -688,6 +826,14 @@ impl RlaSender {
         self.advance_reach_all(ctx);
         self.service_retransmissions(ctx);
         self.try_send(ctx);
+    }
+
+    /// Declare active receiver `idx`'s oldest unsacked packet lost.
+    fn mark_head_lost(&mut self, idx: usize) -> Option<u64> {
+        let before = self.tally(idx);
+        let seq = self.receivers[idx].scoreboard.mark_head_lost();
+        self.retally(idx, before);
+        seq
     }
 
     /// §4.3's option: eject a receiver that has been the unique slowest,
@@ -747,10 +893,11 @@ impl RlaSender {
 
     /// Shared by ejection and voluntary leave: drop `idx` out of the
     /// control loop without forgetting its identity (in-flight acks from
-    /// it still resolve through `index_of` and hit the ejected early
+    /// it still resolve through `slot_of` and hit the ejected early
     /// return).
     fn detach(&mut self, idx: usize) {
         self.receivers[idx].ejected = true;
+        self.rescan_aggregates();
         self.trouble.deactivate(idx);
         // Repairs owed only to the detached receiver are cancelled; shared
         // ones stay pending for the remaining requesters.
@@ -777,7 +924,7 @@ impl RlaSender {
     fn scan_timeouts(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
         self.apply_slow_receiver_policy(now);
-        let window_exhausted = self.pipe() >= self.win.allowed();
+        let window_exhausted = self.pipe.value >= self.win.allowed();
         for idx in 0..self.receivers.len() {
             if self.receivers[idx].ejected {
                 continue;
@@ -801,7 +948,7 @@ impl RlaSender {
                 // SACKed packet above it that has aged a full srtt is lost.
                 let early = window_exhausted && !retransmitted && evidence && age > srtt;
                 if lost_rexmit || early {
-                    if let Some(seq) = self.receivers[idx].scoreboard.mark_head_lost() {
+                    if let Some(seq) = self.mark_head_lost(idx) {
                         self.stats.early_retransmits += 1;
                         self.pending_rexmit.insert(seq);
                         self.note_congestion(idx, ctx);
@@ -823,7 +970,7 @@ impl RlaSender {
             self.stats.timeouts += 1;
             self.receivers[idx].rtt.on_timeout();
             self.receivers[idx].last_ack_at = now;
-            if let Some(seq) = self.receivers[idx].scoreboard.mark_head_lost() {
+            if let Some(seq) = self.mark_head_lost(idx) {
                 self.pending_rexmit.insert(seq);
             }
             self.note_congestion(idx, ctx);
@@ -868,7 +1015,10 @@ impl Agent for RlaSender {
                 ejected: false,
             })
             .collect();
-        self.index_of = members.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        for (i, &id) in members.iter().enumerate() {
+            self.set_slot(id, i);
+        }
+        self.rescan_aggregates();
         self.trouble = TroubleTracker::new(members.len(), self.cfg.eta, self.cfg.interval_gain);
         self.stats = RlaStats::new(now, self.win.cwnd(), members.len());
         self.cut_epoch.mark(now);
@@ -1167,6 +1317,29 @@ mod tests {
             s.stats.ejected_receivers.is_empty(),
             "a voluntary leave is not an ejection"
         );
+    }
+
+    #[test]
+    fn extreme_counts_ties_and_asks_for_rescans() {
+        let max = Extreme::scan([3, 5, 5, 1].into_iter(), true);
+        assert_eq!(max, Extreme { value: 5, count: 2 });
+        let min = Extreme::scan([3, 5, 1, 1].into_iter(), false);
+        assert_eq!(min, Extreme { value: 1, count: 2 });
+        assert_eq!(Extreme::scan(std::iter::empty(), true).count, 0);
+
+        let mut m = max;
+        assert!(m.move_max(3, 5), "joining the maximum");
+        assert_eq!(m, Extreme { value: 5, count: 3 });
+        assert!(m.move_max(5, 6), "a new maximum");
+        assert_eq!(m, Extreme { value: 6, count: 1 });
+        assert!(m.move_max(1, 2), "below the maximum: no change");
+        assert!(!m.move_max(6, 4), "the last one at the maximum left");
+
+        let mut lo = min;
+        assert!(lo.rise_min(1, 4), "one of two at the minimum left");
+        assert_eq!(lo, Extreme { value: 1, count: 1 });
+        assert!(lo.rise_min(3, 9), "above the minimum: no change");
+        assert!(!lo.rise_min(1, 2), "the last one at the minimum left");
     }
 
     #[test]
