@@ -35,18 +35,14 @@ use std::time::Instant;
 use experiments::manifest::{results_dir, write_manifest};
 use experiments::prelude::*;
 
-/// `events_per_sec` from a committed bench manifest, if one exists.
-/// The manifest is this repo's own hand-rolled JSON, so a key scan is
-/// enough — no parser needed.
+/// `events_per_sec` from a committed bench manifest, if one exists and
+/// parses.
 fn committed_events_per_sec(manifest: &str) -> Option<f64> {
     let text = std::fs::read_to_string(results_dir().join(manifest)).ok()?;
-    let rest = &text[text.find("\"events_per_sec\":")? + "\"events_per_sec\":".len()..];
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    num.parse().ok()
+    Json::parse(&text)
+        .ok()?
+        .get("events_per_sec")
+        .and_then(Json::as_f64)
 }
 
 /// Events on the critical path of a `workers`-wide run: per epoch, the
@@ -212,7 +208,7 @@ fn main() {
         let loads: Vec<Vec<u64>> = world
             .engine
             .epoch_loads()
-            .expect("inline partitioned run records epoch loads")
+            .expect("a single-worker run records epoch loads")
             .to_vec();
         epochs = loads.len() as u64;
         let rate = events as f64 / wall_secs;

@@ -46,9 +46,9 @@
 //! * `RLA_SHARDS` — target execution-domain count *and* worker threads
 //!   for the partitioned engine within one scenario run (default 1 —
 //!   the cost-aware merge pass collapses the fine θ-partition into a
-//!   single domain and the run dispatches down the classic sequential
-//!   loop with zero exchange overhead). Digests are identical at every
-//!   value; this knob trades wall-clock only.
+//!   single domain that steps the epoch grid on the calling thread with
+//!   nothing to exchange). Digests are identical at every value; this
+//!   knob trades wall-clock only.
 //!
 //! Any other variable in the `RLA_` namespace is rejected with the list
 //! of valid knobs ([`enforce_known_env`]), so typos fail loudly.
@@ -520,11 +520,11 @@ pub fn bench_gate_pct_from(get: impl Fn(&str) -> Option<String>) -> Option<f64> 
 
 /// Target execution-domain count and worker threads for the partitioned
 /// engine within one scenario run: `RLA_SHARDS` (default 1 — the merge
-/// pass collapses the fine θ-partition to a single domain and the run
-/// takes the classic sequential loop). This knob never changes results:
-/// the identity layer — per-region RNG streams and digest lanes — is a
-/// pure function of the topology and the seed, and only the execution
-/// grouping follows the target.
+/// pass collapses the fine θ-partition to a single domain, run on the
+/// calling thread with nothing to exchange). This knob never changes
+/// results: the identity layer — per-region RNG streams and digest
+/// lanes — is a pure function of the topology and the seed, and only
+/// the execution grouping follows the target.
 pub fn shards() -> usize {
     enforce_known_env();
     shards_from(|name| std::env::var(name).ok())

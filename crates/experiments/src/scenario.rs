@@ -85,8 +85,8 @@ pub struct TreeScenario {
     pub bg_load: Option<BackgroundLoad>,
     /// Target execution-domain count *and* worker threads for the
     /// partitioned engine (the `RLA_SHARDS` knob; default 1 — the fine
-    /// θ-partition merges into one domain and the run dispatches down
-    /// the classic sequential loop with zero exchange overhead). The
+    /// θ-partition merges into one domain, run on the calling thread
+    /// with zero exchange overhead). The
     /// identity layer — per-region RNG streams, uid tags and digest
     /// lanes — is a pure function of the topology and seed, so this
     /// setting never changes a digest — only wall-clock.

@@ -10,24 +10,20 @@
 //! so an agent can schedule sends and timers while the engine still holds
 //! `&mut` to the agent itself — no `RefCell`, no unsafe.
 //!
-//! # Execution modes
+//! # Execution
 //!
-//! * **Classic sequential** — an unpartitioned engine has exactly one
-//!   domain and [`Engine::run_until`] is the familiar single event loop,
-//!   bit-identical to the engine before partitioning existed. Every unit
-//!   test and every caller that never calls [`Engine::partition`] lives
-//!   here.
-//! * **Partitioned** — after [`Engine::partition`] the event loop becomes
-//!   an epoch executor: every domain advances to the next absolute barrier
-//!   (a multiple of the [`DomainMap`] lookahead, see
-//!   [`crate::shard::grid_next`]), then the epoch's boundary packets are
-//!   exchanged in one batch, each scheduled directly under its canonical
-//!   *(send epoch, source region, send order)* calendar key. With
-//!   [`Engine::set_workers`] above 1 the domains run on scoped threads;
-//!   the digests are bit-identical at every worker count and under any
-//!   `run_until` stepping, because the partition, the per-domain RNG
-//!   streams and the keyed exchange order depend only on the topology,
-//!   the seed and θ.
+//! One epoch executor runs every world: each domain advances to the next
+//! absolute barrier (a multiple of the fine [`DomainMap`] lookahead, see
+//! [`crate::shard::grid_next`]), then the epoch's boundary packets pass
+//! through one inbox per destination domain, and each is scheduled under
+//! its canonical *(send epoch, source region, send order)* calendar key.
+//! An unpartitioned world is the degenerate case: zero lookahead, one
+//! epoch to the deadline, nothing to exchange. With
+//! [`Engine::set_workers`] above 1 the domains run on scoped threads; the
+//! digests are bit-identical at every worker count and under any
+//! `run_until` stepping, because the partition, the per-region RNG
+//! streams and the keyed exchange order depend only on the topology, the
+//! seed and θ.
 //!
 //! Determinism: per-domain seeded RNGs, integer time, and FIFO
 //! tie-breaking in each calendar make runs bit-reproducible for a given
@@ -49,7 +45,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::agent::Agent;
 use crate::arena::{PacketArena, PacketHandle};
-use crate::event::{Calendar, EventKind};
+use crate::event::{Calendar, EventKind, MAX_EPOCHS, MAX_REGIONS};
 use crate::fault::FaultInjector;
 use crate::id::{AgentId, ChannelId, GroupId, NodeId};
 use crate::link::Channel;
@@ -60,6 +56,9 @@ use crate::shard::{domain_seed, grid_next, BoundaryMsg, DomainMap};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceDigest, TraceEvent, Tracer};
 use crate::wire::Segment;
+
+/// Only a panic on another domain's thread can poison a boundary inbox.
+const POISONED: &str = "a domain thread panicked while holding a boundary inbox";
 
 /// Per-agent engine-side metadata.
 #[derive(Debug)]
@@ -227,9 +226,9 @@ impl DomainShard {
     /// Deliver an incoming boundary packet: it enters this shard's arena
     /// and goes straight into the calendar under its canonical
     /// *(send epoch, source region, send order)* key — the key alone fixes
-    /// its same-instant dispatch position, so neither the insertion
-    /// sequence (nondeterministic under the threaded exchange) nor the
-    /// shard count can perturb the order.
+    /// its same-instant dispatch position, so neither the inbox order
+    /// (racy when senders run on several threads) nor the shard count can
+    /// perturb the order.
     fn accept_boundary(&mut self, msg: BoundaryMsg) {
         let handle = self.arena.insert(msg.packet);
         self.calendar.schedule_boundary(
@@ -249,12 +248,12 @@ pub struct World {
     shared: Shared,
     shards: Vec<DomainShard>,
     tracer: Option<Rc<RefCell<dyn Tracer>>>,
-    /// Worker threads for the partitioned executor (1 = run the epochs
-    /// inline on the calling thread).
+    /// Worker threads for the epoch executor (1 = run the epochs on the
+    /// calling thread).
     workers: usize,
-    /// When armed, the inline epoch executor appends one row per epoch:
-    /// the number of events each domain processed in that epoch. Feeds the
-    /// parallel bench's critical-path speedup model.
+    /// When armed, a partitioned run on the calling thread appends one row
+    /// per epoch: the number of events each domain processed in that
+    /// epoch. Feeds the parallel bench's critical-path speedup model.
     epoch_loads: Option<Vec<Vec<u64>>>,
 }
 
@@ -388,7 +387,7 @@ impl World {
         self.shards.len()
     }
 
-    /// Worker threads the partitioned executor will use.
+    /// Worker threads the epoch executor will use.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -522,9 +521,10 @@ impl<'a> DomainRun<'a> {
         }
     }
 
-    /// Run this domain until its calendar is exhausted or `deadline` is
-    /// reached; the clock ends at exactly `deadline` if the calendar
-    /// outlives it.
+    /// Dispatch every event at or before `deadline`; the clock ends at
+    /// exactly `deadline`. Kept out of line: inlined into the epoch loop,
+    /// it made the tree benchmark workloads run 2–3% slower.
+    #[inline(never)]
     fn run_until(&mut self, deadline: SimTime) {
         while let Some(event) = self.shard.calendar.pop_before(deadline) {
             debug_assert!(event.at >= self.shard.now, "time ran backwards");
@@ -893,8 +893,8 @@ impl Engine {
 
     /// Install a tracer. The caller keeps its own `Rc` handle to read the
     /// trace back after the run. Tracers are inherently single-threaded:
-    /// a partitioned engine accepts one only while
-    /// [`Engine::set_workers`] is 1.
+    /// [`Engine::run_until`] accepts one only when every domain runs on
+    /// the calling thread.
     pub fn set_tracer(&mut self, tracer: Rc<RefCell<dyn Tracer>>) {
         self.world.tracer = Some(tracer);
     }
@@ -923,8 +923,9 @@ impl Engine {
     ///
     /// # Panics
     /// If events are already scheduled or packets in flight (partition
-    /// the world before starting agents), or if the engine is already
-    /// partitioned.
+    /// the world before starting agents), if the engine is already
+    /// partitioned, or if the fine partition has more than
+    /// [`MAX_REGIONS`] regions.
     pub fn partition(&mut self, theta: Option<SimDuration>) -> usize {
         self.do_partition(theta, None, None)
     }
@@ -938,10 +939,10 @@ impl Engine {
     /// `None`). Returns the execution-domain count.
     ///
     /// `target = 1` collapses the run to a single shard with zero
-    /// exchange overhead — intra-region hops take the classic direct
-    /// path, cross-region hops defer to a per-barrier batch flush in the
-    /// same arena. Digests are bit-identical at every `target`, because
-    /// the identity layer (regions) never depends on it.
+    /// exchange overhead: every hop stays in one arena, and a
+    /// cross-region hop is scheduled at once under its boundary key.
+    /// Digests are bit-identical at every `target`, because the identity
+    /// layer (regions) never depends on it.
     pub fn partition_merged(
         &mut self,
         theta: Option<SimDuration>,
@@ -987,6 +988,11 @@ impl Engine {
             return 1;
         }
         let r_count = regions.domains();
+        assert!(
+            r_count <= MAX_REGIONS,
+            "too many regions: the θ-partition has {r_count} regions, but the calendar key \
+             holds at most {MAX_REGIONS} (2^14)"
+        );
 
         // The execution partition: regions coalesced toward the target
         // shard count (or the identity when no target was given).
@@ -1086,12 +1092,11 @@ impl Engine {
         e_count
     }
 
-    /// Set the worker-thread count for the partitioned executor. With 1
-    /// (the default) the epochs run inline on the calling thread; above 1
-    /// the domains are distributed round-robin over scoped worker
-    /// threads. Has no effect on an unpartitioned engine — and none on
-    /// the results either way: digests are identical at every worker
-    /// count.
+    /// Set the worker-thread count for the epoch executor. With 1 (the
+    /// default) the epochs run on the calling thread; above 1 the domains
+    /// are distributed round-robin over `min(workers, domains)` scoped
+    /// threads, so an unpartitioned engine always runs on the calling
+    /// thread. Digests are identical at every worker count.
     pub fn set_workers(&mut self, workers: usize) {
         assert!(workers >= 1, "at least one worker is required");
         self.world.workers = workers;
@@ -1103,10 +1108,10 @@ impl Engine {
     }
 
     /// Arm (or disarm) per-epoch load recording: one row per epoch with
-    /// each domain's processed-event count. Only the inline (workers = 1)
-    /// partitioned executor records; the parallel bench uses the profile
-    /// to model multi-worker critical paths on machines with fewer cores
-    /// than workers.
+    /// each domain's processed-event count. Only partitioned runs on the
+    /// calling thread record (worker count 1, or a single domain); the
+    /// parallel bench uses the profile to model multi-worker critical
+    /// paths on machines with fewer cores than workers.
     pub fn record_epoch_loads(&mut self, on: bool) {
         self.world.epoch_loads = on.then(Vec::new);
     }
@@ -1148,7 +1153,18 @@ impl Engine {
     /// against the lookahead) — and, when the execution partition is
     /// split, its own fresh shard; under a merged single-shard partition
     /// it joins shard 0.
+    ///
+    /// # Panics
+    /// On a partitioned engine, if the new region would exceed
+    /// [`MAX_REGIONS`].
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
+        let regions = &self.world.shared.regions;
+        assert!(
+            !regions.is_partitioned() || regions.domains() < MAX_REGIONS,
+            "too many regions: a new node would make {}, but the calendar key holds \
+             at most {MAX_REGIONS} (2^14)",
+            regions.domains() + 1
+        );
         let id = NodeId::from(self.world.shared.nodes.len());
         self.world.shared.nodes.push(Node::new(id, name));
         if self.world.shared.regions.is_partitioned() {
@@ -1395,221 +1411,73 @@ impl Engine {
             .schedule(at, EventKind::Start { agent });
     }
 
-    /// Run until `deadline`; the clock ends at exactly `deadline`.
+    /// Run until `deadline`: dispatch every event at or before it, and
+    /// leave every domain's clock at exactly `deadline`. A deadline at or
+    /// before the current time does nothing.
     ///
-    /// An unpartitioned engine runs the classic single event loop (and
-    /// additionally stops early if its calendar empties). A partitioned
-    /// engine advances all domains epoch by epoch to `deadline` —
-    /// inline, or on [`Engine::set_workers`] scoped threads — exchanging
-    /// boundary packets at each absolute grid barrier. Every domain's
-    /// clock equals `deadline` on return.
+    /// The domains advance epoch by epoch on the absolute θ-grid and
+    /// exchange boundary packets at each grid barrier. They run on the
+    /// calling thread when `min(workers, domains)` is 1 — the only case
+    /// where a tracer and [`Engine::record_epoch_loads`] apply — and
+    /// round-robin over that many scoped threads otherwise.
+    ///
+    /// # Panics
+    /// Before dispatching any event: if the deadline's θ-grid epoch index
+    /// reaches [`MAX_EPOCHS`], or if a tracer is installed on a run that
+    /// needs more than one thread.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if !self.world.shared.regions.is_partitioned() {
-            // One region: the classic single event loop, no barriers, no
-            // exchange.
-            let world = &mut self.world;
-            DomainRun {
-                shared: &world.shared,
-                shard: &mut world.shards[0],
-                agents: &mut self.agents[0],
-                tracer: world.tracer.as_ref(),
-            }
-            .run_until(deadline);
+        let world = &mut self.world;
+        let lookahead = world.shared.regions.lookahead();
+        if !lookahead.is_zero() {
+            let last_epoch = deadline.as_nanos().div_ceil(lookahead.as_nanos());
+            assert!(
+                last_epoch < MAX_EPOCHS,
+                "deadline {deadline} lies in θ-grid epoch {last_epoch} at lookahead {lookahead}; \
+                 the calendar key holds at most 2^28 epochs"
+            );
+        }
+        let workers = world.workers.min(world.shards.len());
+        assert!(
+            workers == 1 || world.tracer.is_none(),
+            "tracers are single-threaded: set_workers(1) to trace a partitioned run"
+        );
+        let start = world.shards[0].now;
+        debug_assert!(
+            world.shards.iter().all(|s| s.now == start),
+            "domains out of step at epoch entry"
+        );
+        let barrier = (workers > 1).then(|| Barrier::new(workers));
+        let inboxes: Vec<Mutex<_>> = world.shards.iter().map(|_| Mutex::default()).collect();
+        let epochs = Epochs {
+            shared: &world.shared,
+            inboxes: &inboxes,
+            barrier: barrier.as_ref(),
+            start,
+            deadline,
+        };
+        let mut buckets: Vec<Bucket> = (0..workers).map(|_| Vec::new()).collect();
+        for (d, domain) in world.shards.iter_mut().zip(&mut self.agents).enumerate() {
+            buckets[d % workers].push(domain);
+        }
+        if workers == 1 {
+            let bucket = buckets.pop().expect("one bucket");
+            // Without a lookahead there is no epoch grid to profile.
+            let loads = world.epoch_loads.as_mut().filter(|_| !lookahead.is_zero());
+            run_bucket(&epochs, bucket, world.tracer.as_ref(), loads);
             return;
         }
-        if self.world.shards.len() == 1 || self.world.workers == 1 {
-            self.run_epochs_inline(deadline);
-        } else {
-            self.run_epochs_threaded(deadline);
-        }
+        std::thread::scope(|scope| {
+            for bucket in buckets {
+                let epochs = &epochs;
+                scope.spawn(move || run_bucket(epochs, bucket, None, None));
+            }
+        });
     }
 
     /// Run for `d` more simulated time.
     pub fn run_for(&mut self, d: SimDuration) {
         let deadline = self.world.now() + d;
         self.run_until(deadline);
-    }
-
-    /// The inline epoch executor: advance every shard to the next θ-grid
-    /// barrier (or the deadline), then hand each shard's outbox — the
-    /// whole epoch's crossings in one batch — to the destination shards,
-    /// which schedule them directly under their canonical keys.
-    /// Single-threaded, so a tracer is allowed. This is also the
-    /// merged-to-one executor: with a single shard the exchange is empty
-    /// and the loop degenerates to stepping the grid epoch, so the
-    /// sequential path pays no per-message cost at all beyond the keyed
-    /// schedule it already did at send time.
-    fn run_epochs_inline(&mut self, deadline: SimTime) {
-        // The exchange grid is the *fine* lookahead θ regardless of how
-        // regions were coalesced: a merged-L grid would let a receiver
-        // dispatch events between a message's send epoch and its arrival,
-        // perturbing same-instant FIFO order relative to the fine run.
-        let lookahead = self.world.shared.regions.lookahead();
-        debug_assert!(!lookahead.is_zero(), "partitioned world without lookahead");
-        let mut t = self.world.shards[0].now;
-        debug_assert!(
-            self.world.shards.iter().all(|s| s.now == t),
-            "domains out of step at epoch entry"
-        );
-        let recording = self.world.epoch_loads.is_some();
-        while t < deadline {
-            let barrier = grid_next(t, lookahead);
-            let target = barrier.min(deadline);
-            // The global grid index of the epoch being run: the high bits
-            // of every key assigned this step, identical at every shard
-            // and worker count (and across stepped `run_until` calls that
-            // stop mid-epoch).
-            let epoch = barrier.as_nanos() / lookahead.as_nanos();
-            let mut loads = recording.then(|| Vec::with_capacity(self.world.shards.len()));
-            for (shard, agents) in self.world.shards.iter_mut().zip(self.agents.iter_mut()) {
-                shard.begin_epoch(epoch);
-                let before = recording.then(|| shard.events());
-                DomainRun {
-                    shared: &self.world.shared,
-                    shard,
-                    agents,
-                    tracer: self.world.tracer.as_ref(),
-                }
-                .run_until(target);
-                if let (Some(loads), Some(before)) = (loads.as_mut(), before) {
-                    loads.push(shard.events() - before);
-                }
-            }
-            if let (Some(all), Some(row)) = (self.world.epoch_loads.as_mut(), loads) {
-                all.push(row);
-            }
-            if target == barrier && self.world.shards.len() > 1 {
-                // Exchange at the grid barrier: hand each shard's outbox —
-                // the whole epoch's crossings in one batch — to the
-                // destination shards. Each message is scheduled under its
-                // canonical (send epoch, source region, send order) key
-                // (the calendars still carry this epoch's index), so no
-                // sort is needed anywhere: the keys are a total order
-                // independent of routing sequence.
-                let mut d = 0;
-                while d < self.world.shards.len() {
-                    if !self.world.shards[d].outbox.is_empty() {
-                        let outbox = std::mem::take(&mut self.world.shards[d].outbox);
-                        for m in &outbox {
-                            let dst = self.world.shared.dmap.domain_of(m.node) as usize;
-                            self.world.shards[dst].accept_boundary(*m);
-                        }
-                        // Hand the allocation back for the next epoch.
-                        let mut outbox = outbox;
-                        outbox.clear();
-                        self.world.shards[d].outbox = outbox;
-                    }
-                    d += 1;
-                }
-            }
-            t = target;
-        }
-    }
-
-    /// The threaded epoch executor: domains are distributed round-robin
-    /// over scoped worker threads; two barriers per epoch separate the
-    /// run phase from the exchange phase. The whole epoch's crossings are
-    /// batched through one shared inbox — each worker appends its
-    /// domains' outboxes under a single lock, then (after the barrier)
-    /// filter-copies the messages addressed to its own domains under one
-    /// more lock and schedules them directly under their canonical keys —
-    /// so the exchange cost is two lock acquisitions per worker per epoch
-    /// instead of a mutex slot per domain. The inbox's append order is
-    /// racy, but the keys are a total order independent of insertion
-    /// sequence, so digests are bit-identical to the inline executor's.
-    fn run_epochs_threaded(&mut self, deadline: SimTime) {
-        assert!(
-            self.world.tracer.is_none(),
-            "tracers are single-threaded: set_workers(1) to trace a partitioned run"
-        );
-        let d_count = self.world.shards.len();
-        let workers = self.world.workers.min(d_count);
-        let lookahead = self.world.shared.regions.lookahead();
-        debug_assert!(!lookahead.is_zero(), "partitioned world without lookahead");
-        let start = self.world.shards[0].now;
-        debug_assert!(
-            self.world.shards.iter().all(|s| s.now == start),
-            "domains out of step at epoch entry"
-        );
-        let shared = &self.world.shared;
-        // One shared inbox for the whole epoch's crossings, tagged with
-        // the epoch index: the first appender of a new epoch clears the
-        // previous batch (every reader consumed it before the prior
-        // epoch's closing barrier).
-        let inbox: Mutex<(u64, Vec<BoundaryMsg>)> = Mutex::new((0, Vec::new()));
-        let inbox = &inbox;
-        let barrier = Barrier::new(workers);
-        let barrier = &barrier;
-
-        type BucketEntry<'a> = (usize, &'a mut DomainShard, &'a mut Vec<Box<dyn Agent>>);
-        let mut buckets: Vec<Vec<BucketEntry>> = (0..workers).map(|_| Vec::new()).collect();
-        for (d, (shard, agents)) in self
-            .world
-            .shards
-            .iter_mut()
-            .zip(self.agents.iter_mut())
-            .enumerate()
-        {
-            buckets[d % workers].push((d, shard, agents));
-        }
-
-        std::thread::scope(|scope| {
-            for mut bucket in buckets {
-                scope.spawn(move || {
-                    let mut t = start;
-                    let mut epoch = 0u64;
-                    while t < deadline {
-                        let grid = grid_next(t, lookahead);
-                        let target = grid.min(deadline);
-                        let exchanging = target == grid;
-                        epoch += 1;
-                        let grid_epoch = grid.as_nanos() / lookahead.as_nanos();
-                        // Phase A: run own domains to the target, then
-                        // publish all their outboxes under one lock.
-                        for (_, shard, agents) in bucket.iter_mut() {
-                            shard.begin_epoch(grid_epoch);
-                            DomainRun {
-                                shared,
-                                shard,
-                                agents,
-                                tracer: None,
-                            }
-                            .run_until(target);
-                        }
-                        if exchanging {
-                            let mut slot = inbox.lock().unwrap();
-                            if slot.0 != epoch {
-                                slot.0 = epoch;
-                                slot.1.clear();
-                            }
-                            for (_, shard, _) in bucket.iter_mut() {
-                                slot.1.append(&mut shard.outbox);
-                            }
-                        }
-                        barrier.wait();
-                        // Phase B: copy the messages addressed to own
-                        // domains out of the shared batch, scheduling each
-                        // directly under its canonical key (the calendars
-                        // still carry this epoch's index). The batch's
-                        // append order is racy across workers, but the key
-                        // fixes every arrival's dispatch position, so the
-                        // copy order is immaterial.
-                        if exchanging {
-                            let slot = inbox.lock().unwrap();
-                            for (d, shard, _) in bucket.iter_mut() {
-                                for m in slot.1.iter() {
-                                    if shared.dmap.domain_of(m.node) as usize == *d {
-                                        shard.accept_boundary(*m);
-                                    }
-                                }
-                            }
-                        }
-                        barrier.wait();
-                        t = target;
-                    }
-                });
-            }
-        });
     }
 
     // ------------------------------------------------------------------
@@ -1635,6 +1503,99 @@ impl Engine {
     /// Number of agents.
     pub fn agent_count(&self) -> usize {
         self.world.shared.agent_loc.len()
+    }
+}
+
+/// One worker's share of the domains, each with the agents homed in it.
+type Bucket<'a> = Vec<(&'a mut DomainShard, &'a mut Vec<Box<dyn Agent>>)>;
+
+/// What every bucket of one [`Engine::run_until`] call shares.
+struct Epochs<'a> {
+    shared: &'a Shared,
+    /// One boundary inbox per destination domain.
+    inboxes: &'a [Mutex<Vec<BoundaryMsg>>],
+    /// Set when every bucket runs on its own thread.
+    barrier: Option<&'a Barrier>,
+    start: SimTime,
+    deadline: SimTime,
+}
+
+/// The epoch executor: advance one bucket of domains from `start` to
+/// `deadline`. Each epoch runs every domain to `min(next grid barrier,
+/// deadline)`. At a grid barrier the bucket moves its domains' outboxes
+/// into the destination domains' inboxes, then each domain drains its
+/// own inbox into its calendar. On threads, two barrier waits per epoch
+/// separate the push phase from the drain phase. The inboxes' push order
+/// is then racy, but every message is scheduled under its canonical key,
+/// so the order is immaterial.
+fn run_bucket(
+    ep: &Epochs<'_>,
+    mut bucket: Bucket<'_>,
+    tracer: Option<&Rc<RefCell<dyn Tracer>>>,
+    mut loads: Option<&mut Vec<Vec<u64>>>,
+) {
+    // The exchange grid is the *fine* lookahead θ regardless of how
+    // regions were coalesced: a merged-L grid would let a receiver
+    // dispatch events between a message's send epoch and its arrival,
+    // perturbing same-instant FIFO order relative to the fine run.
+    let lookahead = ep.shared.regions.lookahead();
+    let mut t = ep.start;
+    while t < ep.deadline {
+        // The grid barrier ending this epoch and its global index (the
+        // high bits of every key assigned in it). Zero lookahead (an
+        // unpartitioned world): one epoch to the deadline, index 0, no
+        // exchange.
+        let (grid, epoch) = if lookahead.is_zero() {
+            (SimTime::MAX, 0)
+        } else {
+            let grid = grid_next(t, lookahead);
+            (grid, grid.as_nanos() / lookahead.as_nanos())
+        };
+        let target = grid.min(ep.deadline);
+        let mut row = loads.is_some().then(|| Vec::with_capacity(bucket.len()));
+        for (shard, agents) in bucket.iter_mut() {
+            shard.begin_epoch(epoch);
+            let before = row.is_some().then(|| shard.events());
+            DomainRun {
+                shared: ep.shared,
+                shard,
+                agents,
+                tracer,
+            }
+            .run_until(target);
+            if let (Some(row), Some(before)) = (row.as_mut(), before) {
+                row.push(shard.events() - before);
+            }
+        }
+        if let (Some(all), Some(row)) = (loads.as_deref_mut(), row) {
+            all.push(row);
+        }
+        let exchanging = target == grid;
+        if exchanging {
+            for (shard, _) in bucket.iter_mut() {
+                for m in shard.outbox.drain(..) {
+                    let dst = ep.shared.dmap.domain_of(m.node) as usize;
+                    ep.inboxes[dst].lock().expect(POISONED).push(m);
+                }
+            }
+        }
+        if let Some(b) = ep.barrier {
+            b.wait();
+        }
+        if exchanging {
+            // The calendars still carry this epoch's index, so each
+            // arrival lands under its send epoch's key.
+            for (shard, _) in bucket.iter_mut() {
+                let mut inbox = ep.inboxes[shard.domain as usize].lock().expect(POISONED);
+                for m in inbox.drain(..) {
+                    shard.accept_boundary(m);
+                }
+            }
+        }
+        if let Some(b) = ep.barrier {
+            b.wait();
+        }
+        t = target;
     }
 }
 
@@ -2042,24 +2003,78 @@ mod tests {
         assert!(baseline.events() > 0);
         assert_eq!(baseline, full(2), "two workers drifted");
         assert_eq!(baseline, full(4), "four workers drifted");
-        // Mid-epoch stepping must not move the exchange barriers: pause at
-        // an off-grid instant (L = 10ms; 7ms is mid-epoch) and resume.
-        let (mut e, _, _) = partitioned_chain(11, 2);
-        e.run_until(SimTime::from_millis(7));
-        e.run_until(SimTime::from_millis(13));
-        e.run_until(SimTime::from_secs(2));
-        assert_eq!(baseline, e.trace_digest(), "stepping changed the digest");
-        // Deadlines landing exactly on grid barriers are the epoch loop's
-        // edge case: the final epoch must run (and exchange) exactly once.
-        let (mut e, _, _) = partitioned_chain(11, 1);
-        e.run_until(SimTime::from_millis(10));
-        e.run_until(SimTime::from_millis(20));
-        e.run_until(SimTime::from_secs(2));
-        assert_eq!(
-            baseline,
-            e.trace_digest(),
-            "on-barrier stepping changed the digest"
-        );
+        let stepped = |workers: usize, stops: [u64; 2]| {
+            let (mut e, _, _) = partitioned_chain(11, workers);
+            for ms in stops {
+                e.run_until(SimTime::from_millis(ms));
+            }
+            e.run_until(SimTime::from_secs(2));
+            e.trace_digest()
+        };
+        // Eight workers exceed the two domains.
+        for workers in [1, 2, 8] {
+            // Mid-epoch stepping must not move the exchange barriers:
+            // pause at off-grid instants (L = 10ms; 7ms is mid-epoch) and
+            // resume.
+            assert_eq!(
+                baseline,
+                stepped(workers, [7, 13]),
+                "mid-epoch stepping changed the digest at {workers} workers"
+            );
+            // Deadlines landing exactly on grid barriers are the epoch
+            // loop's edge case: the final epoch must run (and exchange)
+            // exactly once.
+            assert_eq!(
+                baseline,
+                stepped(workers, [10, 20]),
+                "on-barrier stepping changed the digest at {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the calendar key holds at most 2^28 epochs")]
+    fn deadline_past_the_epoch_limit_is_rejected_before_any_dispatch() {
+        // L = 10ms: 2^28 epochs end near 2.68M s simulated.
+        let (mut e, _, _) = partitioned_chain(3, 1);
+        let far = SimTime::from_secs(3_000_000);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.run_until(far)))
+            .expect_err("the deadline is past the epoch limit");
+        assert_eq!(e.trace_digest().events(), 0, "events ran before the check");
+        std::panic::resume_unwind(err);
+    }
+
+    /// `n` nodes chained by 10ms channels: every node is its own region.
+    fn region_chain(n: usize) -> Engine {
+        let mut e = Engine::new(1);
+        let q = QueueConfig::DropTail { limit: 1 };
+        for i in 0..n {
+            let node = e.add_node(format!("n{i}"));
+            if i > 0 {
+                e.add_channel(
+                    NodeId(i as u32 - 1),
+                    node,
+                    8_000_000,
+                    SimDuration::from_millis(10),
+                    &q,
+                );
+            }
+        }
+        e
+    }
+
+    #[test]
+    #[should_panic(expected = "too many regions: the θ-partition has 16385")]
+    fn partition_rejects_more_regions_than_the_key_holds() {
+        region_chain(MAX_REGIONS + 1).partition(None);
+    }
+
+    #[test]
+    #[should_panic(expected = "too many regions: a new node would make 16385")]
+    fn add_node_rejects_a_region_past_the_key_limit() {
+        let mut e = region_chain(MAX_REGIONS);
+        assert_eq!(e.partition(None), MAX_REGIONS);
+        e.add_node("one too many");
     }
 
     /// The star topology from `partitioned_multicast_spans_domains`, with
@@ -2186,16 +2201,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already partitioned")]
     fn merged_partition_cannot_be_applied_twice() {
-        let mut e = Engine::new(1);
-        let a = e.add_node("a");
-        let b = e.add_node("b");
-        e.add_link(
-            a,
-            b,
-            8_000_000,
-            SimDuration::from_millis(10),
-            &QueueConfig::paper_droptail(),
-        );
+        let mut e = region_chain(2);
         e.partition_merged(None, 1, None);
         e.partition(None);
     }
@@ -2251,8 +2257,10 @@ mod tests {
         let run = |workers: usize| {
             let (mut e, blaster, _, _) = two_node_world(&QueueConfig::paper_red());
             e.set_workers(workers);
+            e.record_epoch_loads(true);
             e.start_agent_at(blaster, SimTime::ZERO);
             e.run_until(SimTime::from_secs(2));
+            assert_eq!(e.epoch_loads(), Some(&[][..]), "no epoch grid to profile");
             e.trace_digest()
         };
         assert_eq!(run(1), run(4));
@@ -2261,16 +2269,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already partitioned")]
     fn double_partition_is_rejected() {
-        let mut e = Engine::new(1);
-        let a = e.add_node("a");
-        let b = e.add_node("b");
-        e.add_link(
-            a,
-            b,
-            8_000_000,
-            SimDuration::from_millis(10),
-            &QueueConfig::paper_droptail(),
-        );
+        let mut e = region_chain(2);
         e.partition(None);
         e.partition(None);
     }

@@ -105,16 +105,19 @@ const KEY_EPOCH_SHIFT: u32 = 36;
 const KEY_PHASE_BIT: u64 = 1 << 35;
 /// Bits for the boundary key's per-epoch, per-region send order.
 const KEY_SEQ_SHIFT: u32 = 21;
+/// θ-grid epochs the key's high bits can number (2^28). The engine
+/// rejects a `run_until` deadline beyond it before dispatching anything.
+pub const MAX_EPOCHS: u64 = 1 << (64 - KEY_EPOCH_SHIFT);
+/// Regions the boundary key's region field can number (2^14). The engine
+/// rejects a partition, or a node added to one, that would exceed it.
+pub const MAX_REGIONS: usize = (KEY_PHASE_BIT >> KEY_SEQ_SHIFT) as usize;
 
 /// Same-instant tie-break key for a locally scheduled event: epoch, phase
 /// bit 0, then the calendar's schedule counter *within that epoch*.
 /// Within one epoch this is pure insertion (FIFO) order; the counter may
 /// reset across epochs because the epoch bits already separate them.
 pub fn local_key(epoch: u64, seq: u64) -> u64 {
-    debug_assert!(
-        epoch < 1 << (64 - KEY_EPOCH_SHIFT),
-        "epoch overflows the key"
-    );
+    debug_assert!(epoch < MAX_EPOCHS, "epoch overflows the key");
     assert!(
         seq < KEY_PHASE_BIT,
         "calendar key overflow: 2^35 events scheduled within one θ-grid epoch \
@@ -130,12 +133,9 @@ pub fn local_key(epoch: u64, seq: u64) -> u64 {
 /// independent of which shard inserts it, or when — so dispatch order is
 /// identical at every shard and worker count.
 pub fn boundary_key(epoch: u64, region: u32, seq: u64) -> u64 {
-    debug_assert!(
-        epoch < 1 << (64 - KEY_EPOCH_SHIFT),
-        "epoch overflows the key"
-    );
+    debug_assert!(epoch < MAX_EPOCHS, "epoch overflows the key");
     assert!(
-        (region as u64) < KEY_PHASE_BIT >> KEY_SEQ_SHIFT,
+        (region as usize) < MAX_REGIONS,
         "calendar key overflow: region id {region} needs more than 14 bits"
     );
     assert!(
@@ -247,9 +247,8 @@ impl Calendar {
     pub fn set_epoch(&mut self, epoch: u64) {
         debug_assert!(epoch >= self.epoch, "epoch ran backwards");
         assert!(
-            epoch < 1 << 28,
-            "calendar key overflow: more than 2^28 θ-grid epochs \
-             (simulated duration / lookahead is too large)"
+            epoch < MAX_EPOCHS,
+            "calendar key overflow: θ-grid epoch {epoch} needs more than 28 bits"
         );
         if epoch != self.epoch {
             self.epoch = epoch;

@@ -33,9 +33,9 @@ use crate::id::NodeId;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 
-/// A packet crossing from one domain to another: queued in the sending
-/// domain's outbox at transmission completion, scheduled into the arrival
-/// node's domain at the next epoch barrier.
+/// A packet crossing from one domain to another: pushed to the arrival
+/// domain's inbox at transmission completion, scheduled into that
+/// domain's calendar at the next epoch barrier.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundaryMsg {
     /// Arrival instant at the destination node (transmission completion
